@@ -128,7 +128,13 @@
 // state, advanced by delta firing), so a delivery evaluates against
 // (state, Δ = delivered fact) for monotone/streaming transducers and
 // falls back to full evaluation for non-monotone ones — with effects
-// identical to the textbook transition either way. Intern pre-loads
+// identical to the textbook transition either way. A local transition
+// is a function of (state, received fact), and a fair run keeps
+// redelivering known facts to saturated nodes, so the cache also
+// memoizes each transition per state and receive instance: a
+// transition that changes no memory relation keeps the same state
+// instance and replays from the memo without evaluating or
+// allocating, and any state change clears the memo. Intern pre-loads
 // values into the process-default dictionary; InternedValues reports
 // its size. Each dictionary shard's read path is lock-free (value→ID
 // through a sync.Map, ID→value through an atomically published

@@ -143,6 +143,14 @@ func TestDifferentialParallelWorkers(t *testing.T) {
 // schedules per example — arbitrary interleavings of heartbeats and
 // deliveries of previously sent facts — Firing.Step must produce
 // effects bit-identical to Transducer.Step from the same (state, rcv).
+// Like the simulator, the schedules hand out one read-only receive
+// instance per fact, so redeliveries hit the firing's transition memo;
+// a random quarter of the deliveries instead gets a fresh copy of the
+// fact, a memo miss that must evaluate to what the hit replays.
+// ProbeParts runs before a random half of the steps (the Step then
+// executes the probed transition) and again after every quiet step
+// (a guaranteed memo hit), and its verdict, sends and output must
+// agree with the oracle too.
 func TestDifferentialFiringVsStep(t *testing.T) {
 	const schedules = 50
 	const stepsPer = 25
@@ -162,14 +170,46 @@ func TestDifferentialFiringVsStep(t *testing.T) {
 				state := initial.Clone()
 				firing := transducer.NewFiring(e.tr)
 				var pool []fact.Fact
+				rcvOf := map[string]*fact.Instance{}
 				for step := 0; step < stepsPer; step++ {
 					var rcv *fact.Instance
 					if len(pool) > 0 && rng.IntN(2) == 1 {
-						rcv = fact.FromFacts(pool[rng.IntN(len(pool))])
+						sf := pool[rng.IntN(len(pool))]
+						rcv = rcvOf[sf.Key()]
+						if rng.IntN(4) == 0 {
+							rcv = fact.FromFacts(sf)
+						}
 					}
 					oracle, err := e.tr.Step(state, rcv)
 					if err != nil {
 						t.Fatalf("schedule %d step %d: oracle: %v", sched, step, err)
+					}
+					oracleChanged := !oracle.State.Equal(state)
+					checkProbe := func(when string) {
+						t.Helper()
+						changed, snd, out, err := firing.ProbeParts(state, rcv)
+						if err != nil {
+							t.Fatalf("schedule %d step %d: probe %s: %v", sched, step, when, err)
+						}
+						if changed != oracleChanged {
+							t.Fatalf("schedule %d step %d: probe %s: stateChanged=%v, oracle differs=%v", sched, step, when, changed, oracleChanged)
+						}
+						if changed {
+							return
+						}
+						sndI := fact.NewInstance()
+						for _, sr := range snd {
+							sndI.SetRelation(sr.Rel, sr.R)
+						}
+						if !sndI.Equal(oracle.Snd) {
+							t.Fatalf("schedule %d step %d: probe %s: snd %v != oracle %v", sched, step, when, sndI, oracle.Snd)
+						}
+						if !out.Equal(oracle.Out) {
+							t.Fatalf("schedule %d step %d: probe %s: out %v != oracle %v", sched, step, when, out, oracle.Out)
+						}
+					}
+					if rng.IntN(2) == 1 {
+						checkProbe("before step")
 					}
 					eff, changed, err := firing.Step(state, rcv)
 					if err != nil {
@@ -184,11 +224,18 @@ func TestDifferentialFiringVsStep(t *testing.T) {
 					if !eff.Out.Equal(oracle.Out) {
 						t.Fatalf("schedule %d step %d: out %v != oracle %v", sched, step, eff.Out, oracle.Out)
 					}
-					if changed != !oracle.State.Equal(state) {
-						t.Fatalf("schedule %d step %d: stateChanged=%v, oracle differs=%v", sched, step, changed, !oracle.State.Equal(state))
+					if changed != oracleChanged {
+						t.Fatalf("schedule %d step %d: stateChanged=%v, oracle differs=%v", sched, step, changed, oracleChanged)
+					}
+					if !changed {
+						if eff.State != state {
+							t.Fatalf("schedule %d step %d: quiet step returned a new state instance", sched, step)
+						}
+						checkProbe("after quiet step")
 					}
 					for _, sf := range eff.Snd.Facts() {
-						if len(pool) < 64 {
+						if _, ok := rcvOf[sf.Key()]; !ok && len(pool) < 64 {
+							rcvOf[sf.Key()] = fact.FromFacts(sf)
 							pool = append(pool, sf)
 						}
 					}

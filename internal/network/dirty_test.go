@@ -349,9 +349,9 @@ func TestShardGeometryWorkersExceedNodes(t *testing.T) {
 	baseline := ""
 	for _, opt := range []ParallelOptions{
 		{Seed: 4, Workers: 1},
-		{Seed: 4, Workers: 3},  // equals n
-		{Seed: 4, Workers: 8},  // workers > n
-		{Seed: 4, Workers: 64}, // workers >> n
+		{Seed: 4, Workers: 3},             // equals n
+		{Seed: 4, Workers: 8},             // workers > n
+		{Seed: 4, Workers: 64},            // workers >> n
 		{Seed: 4, Workers: 8, Shards: 16}, // shards > n too
 	} {
 		s := parallelTestSim(t, Line(3), 5, true)

@@ -14,7 +14,7 @@ import (
 //
 // The produced effects are identical to Transducer.Step —
 // incrementality is an evaluation strategy, not a semantics change.
-// Four mechanisms carry it:
+// Five mechanisms carry it:
 //
 //   - Message deltas. Received facts live in message relations, which
 //     are disjoint from the state schema; a query that does not read
@@ -31,8 +31,24 @@ import (
 //   - Lazy probes. The quiescence check never needs the successor
 //     instance, only whether it differs; ProbeParts decides that with
 //     subset checks, memoized on result pointers.
+//   - Transition memo. A transition is a deterministic function of
+//     (state, rcv), and a fair run redelivers known facts to saturated
+//     nodes over and over. Per state, the firing memoizes each
+//     transition by the receive instance's pointer (nil for a
+//     heartbeat): a quiet transition — one that changes no memory
+//     relation — keeps only its send set and output relation, and
+//     returns the same state pointer, so replaying it is one map
+//     lookup with no evaluation and no allocation. A transition that
+//     changes the state keeps only that verdict, which a repeated
+//     probe reads back; the Step that executes it evaluates it again.
+//     Any state change clears the memo.
 //   - Fallback. Queries that fit none of the above are re-evaluated
 //     in full — the exact original semantics.
+//
+// Contract: states and receive instances passed to Step and
+// ProbeParts are never mutated afterwards (the memo keys on the
+// receive instance's pointer), and relations and instances the firing
+// returns are shared storage that callers must not mutate.
 type Firing struct {
 	T *Transducer
 
@@ -45,17 +61,47 @@ type Firing struct {
 	queries []firingQuery
 	cache   []*fact.Relation
 	memRels []memEntry
+	sndIdx  []int // query slots of the send queries, in message relation order
 	outIdx  int
 
-	// quietMem memoizes, per memory relation, the (ins, del, old)
-	// relation-pointer triple that last verified "no state change" in
-	// ProbeParts. Relations are immutable once published, so pointer
-	// equality implies content equality and the memo never goes stale;
-	// it is reset whenever the cache moves to a new state.
-	quietMem map[string][3]*fact.Relation
+	// quietMem memoizes, per memory relation (indexed like memRels),
+	// the (ins, del, old) relation-pointer triple that last verified
+	// "no state change". Relations are immutable once published, so
+	// pointer equality implies content equality and the memo never
+	// goes stale; it is reset whenever the cache moves to a new state.
+	quietMem [][3]*fact.Relation
 
-	// sndScratch is reused by consecutive ProbeParts calls.
-	sndScratch []SndResult
+	// memo is the transition memo on state, keyed by receive instance
+	// (nil for a heartbeat); reset whenever the cache moves to a new
+	// state.
+	memo map[*fact.Instance]memoEntry
+
+	// lastSnd is the send set of the latest evaluated transition,
+	// reused while every send query returns the same relation object,
+	// so that memo entries share one send instance.
+	lastSnd *sndSet
+
+	// empty holds one shared, read-only empty relation per arity over
+	// emptyDict, the state's dictionary: the result of every absent
+	// query and the old value of every memory relation a state does not
+	// hold.
+	empty     []*fact.Relation
+	emptyDict *fact.Dict
+}
+
+// memoEntry is one memoized transition: the send set and output
+// relation of a quiet transition, or the zero entry for one that
+// changes the state.
+type memoEntry struct {
+	snd *sndSet
+	out *fact.Relation
+}
+
+// sndSet is a send instance together with its per-relation parts, the
+// form ProbeParts hands out.
+type sndSet struct {
+	inst  *fact.Instance
+	parts []SndResult
 }
 
 // firingQuery is one transducer query with its precomputed
@@ -80,11 +126,13 @@ type memEntry struct {
 	ins, del int
 }
 
-// NewFiring prepares an incremental evaluator for t.
+// NewFiring prepares an incremental evaluator for t. Missing queries
+// and the constant empty query get no slot: their result is the
+// shared empty relation.
 func NewFiring(t *Transducer) *Firing {
-	f := &Firing{T: t, outIdx: -1, quietMem: map[string][3]*fact.Relation{}}
+	f := &Firing{T: t, outIdx: -1, memo: map[*fact.Instance]memoEntry{}}
 	add := func(kind byte, key, rel string, q query.Query) int {
-		if q == nil {
+		if _, empty := q.(query.Empty); q == nil || empty {
 			return -1
 		}
 		reads := map[string]bool{}
@@ -99,7 +147,9 @@ func NewFiring(t *Transducer) *Firing {
 		return len(f.queries) - 1
 	}
 	for _, rel := range sortedRels(t.Schema.Msg) {
-		add('s', "snd:"+rel, rel, t.Snd[rel])
+		if i := add('s', "snd:"+rel, rel, t.Snd[rel]); i >= 0 {
+			f.sndIdx = append(f.sndIdx, i)
+		}
 	}
 	for _, rel := range sortedRels(t.Schema.Mem) {
 		e := memEntry{rel: rel, arity: t.Schema.Mem[rel]}
@@ -109,6 +159,7 @@ func NewFiring(t *Transducer) *Firing {
 	}
 	f.outIdx = add('o', "out", "", t.Out)
 	f.cache = make([]*fact.Relation, len(f.queries))
+	f.quietMem = make([][3]*fact.Relation, len(f.memRels))
 	return f
 }
 
@@ -117,11 +168,38 @@ func NewFiring(t *Transducer) *Firing {
 func (f *Firing) resync(state *fact.Instance) {
 	if f.state != state {
 		f.state = state
-		for i := range f.cache {
-			f.cache[i] = nil
+		clear(f.cache)
+		f.forget()
+		if d := state.Dict(); d != f.emptyDict {
+			f.empty, f.emptyDict, f.lastSnd = nil, d, nil
 		}
-		f.quietMem = map[string][3]*fact.Relation{}
 	}
+}
+
+// forget resets the memos that are valid for one state only.
+func (f *Firing) forget() {
+	clear(f.quietMem)
+	clear(f.memo)
+}
+
+// emptyRel returns the shared empty relation of the given arity.
+func (f *Firing) emptyRel(arity int) *fact.Relation {
+	for len(f.empty) <= arity {
+		f.empty = append(f.empty, nil)
+	}
+	if f.empty[arity] == nil {
+		f.empty[arity] = f.emptyDict.NewRelation(arity)
+	}
+	return f.empty[arity]
+}
+
+// oldRel returns the state's relation rel, or the shared empty
+// relation when the state does not hold it.
+func (f *Firing) oldRel(state *fact.Instance, rel string, arity int) *fact.Relation {
+	if r := state.Relation(rel); r != nil {
+		return r
+	}
+	return f.emptyRel(arity)
 }
 
 // cachedOn returns (building if necessary) the cached result of query
@@ -251,33 +329,89 @@ func (f *Firing) evalAll(state, rcv *fact.Instance) ([]*fact.Relation, error) {
 	return results, nil
 }
 
+// resultOr returns query slot idx's result, or the shared empty
+// relation for an absent query.
 func (f *Firing) resultOr(results []*fact.Relation, idx, arity int) *fact.Relation {
 	if idx < 0 {
-		if f.state != nil {
-			return f.state.Dict().NewRelation(arity)
-		}
-		return fact.NewRelation(arity)
+		return f.emptyRel(arity)
 	}
 	return results[idx]
 }
 
-// effect assembles the full transition effect from the per-query
-// results. It performs no cache maintenance.
-func (f *Firing) effect(state *fact.Instance, results []*fact.Relation) Effect {
-	snd := state.Dict().NewInstance()
-	for i := range f.queries {
-		fq := &f.queries[i]
-		if fq.kind == 's' {
-			snd.SetRelationOwned(fq.rel, results[i])
+// sndFor returns the send set of a transition's results: the previous
+// one when every send query returned the same relation object, a new
+// one otherwise.
+func (f *Firing) sndFor(results []*fact.Relation) *sndSet {
+	if s := f.lastSnd; s != nil {
+		same := true
+		for j, i := range f.sndIdx {
+			if s.parts[j].R != results[i] {
+				same = false
+				break
+			}
+		}
+		if same {
+			return s
 		}
 	}
-	out := f.resultOr(results, f.outIdx, f.T.Schema.OutArity)
+	s := &sndSet{inst: f.emptyDict.NewInstance(), parts: make([]SndResult, len(f.sndIdx))}
+	for j, i := range f.sndIdx {
+		rel := f.queries[i].rel
+		s.inst.SetRelationOwned(rel, results[i])
+		s.parts[j] = SndResult{Rel: rel, R: results[i]}
+	}
+	f.lastSnd = s
+	return s
+}
 
+// quiet reports whether the transition with the given results leaves
+// every memory relation of state unchanged. Verdicts are memoized per
+// memory relation on the (ins, del, old) pointers, so repeated checks
+// against pointer-stable results cost a handful of compares.
+func (f *Firing) quiet(state *fact.Instance, results []*fact.Relation) bool {
+	for j, e := range f.memRels {
+		ins := f.resultOr(results, e.ins, e.arity)
+		del := f.resultOr(results, e.del, e.arity)
+		// Relation (not RelationOr): nil is a stable sentinel for an
+		// absent relation, so the pointer memo keeps working for
+		// memory relations the node never materialized.
+		key := [3]*fact.Relation{ins, del, state.Relation(e.rel)}
+		if f.quietMem[j] == key {
+			continue
+		}
+		if !memUnchanged(ins, del, key[2]) {
+			return false
+		}
+		f.quietMem[j] = key
+	}
+	return true
+}
+
+// evaluate evaluates the transition from the current state on rcv and
+// memoizes its verdict: the send set and output of a quiet transition,
+// the zero entry for one that changes the state.
+func (f *Firing) evaluate(state, rcv *fact.Instance) (memoEntry, []*fact.Relation, error) {
+	results, err := f.evalAll(state, rcv)
+	if err != nil {
+		return memoEntry{}, nil, err
+	}
+	var e memoEntry
+	if f.quiet(state, results) {
+		// Keep only what a replay needs, not the per-query results.
+		e = memoEntry{snd: f.sndFor(results), out: f.resultOr(results, f.outIdx, f.T.Schema.OutArity)}
+	}
+	f.memo[rcv] = e
+	return e, results, nil
+}
+
+// effect assembles the effect of a state-changing transition from its
+// per-query results. It performs no cache maintenance.
+func (f *Firing) effect(state *fact.Instance, results []*fact.Relation) Effect {
 	next := state.ShallowClone()
 	for _, e := range f.memRels {
 		ins := f.resultOr(results, e.ins, e.arity)
 		del := f.resultOr(results, e.del, e.arity)
-		old := state.RelationOr(e.rel, e.arity)
+		old := f.oldRel(state, e.rel, e.arity)
 		var updated *fact.Relation
 		if del.Empty() {
 			// Inflationary fast path: J(R) = Qins ∪ I(R); reuse the old
@@ -304,7 +438,11 @@ func (f *Firing) effect(state *fact.Instance, results []*fact.Relation) Effect {
 		// skipping the reinstall keeps the instance's active-domain
 		// memo (SetRelationOwned must conservatively drop it).
 	}
-	return Effect{State: next, Snd: snd, Out: out}
+	return Effect{
+		State: next,
+		Snd:   f.sndFor(results).inst,
+		Out:   f.resultOr(results, f.outIdx, f.T.Schema.OutArity),
+	}
 }
 
 // SndResult is one send-query result: the message relation name and
@@ -318,48 +456,22 @@ type SndResult struct {
 // quiescence check: it reports whether the transition from
 // (state, rcv) would change the state, and exposes the send and
 // output results, WITHOUT building the successor instance or
-// advancing the cache. Unchanged-state verdicts are memoized per
-// memory relation on the result pointers, so repeated probes of a
-// saturated node cost a handful of pointer compares. The returned
-// relations and slice are shared storage and must not be mutated.
+// advancing the cache. The verdict goes into the transition memo, so
+// a repeated probe costs one map lookup, as does the Step that
+// executes a probed quiet transition. The returned relations and
+// slice are shared storage and must not be mutated.
 func (f *Firing) ProbeParts(state, rcv *fact.Instance) (stateChanged bool, snd []SndResult, out *fact.Relation, err error) {
 	f.resync(state)
-	results, err := f.evalAll(state, rcv)
-	if err != nil {
-		return false, nil, nil, err
-	}
-	for _, e := range f.memRels {
-		var ins, del *fact.Relation
-		if e.ins >= 0 {
-			ins = results[e.ins]
-		}
-		if e.del >= 0 {
-			del = results[e.del]
-		}
-		// Relation (not RelationOr): nil is a stable sentinel for an
-		// absent relation, so the pointer memo keeps working for
-		// memory relations the node never materialized.
-		old := state.Relation(e.rel)
-		if memo, ok := f.quietMem[e.rel]; ok && memo[0] == ins && memo[1] == del && memo[2] == old {
-			continue
-		}
-		if !memUnchanged(ins, del, old) {
-			return true, nil, nil, nil
-		}
-		f.quietMem[e.rel] = [3]*fact.Relation{ins, del, old}
-	}
-	if f.sndScratch == nil {
-		f.sndScratch = make([]SndResult, 0, len(f.queries))
-	}
-	snd = f.sndScratch[:0]
-	for i := range f.queries {
-		fq := &f.queries[i]
-		if fq.kind == 's' {
-			snd = append(snd, SndResult{Rel: fq.rel, R: results[i]})
+	e, known := f.memo[rcv]
+	if !known {
+		if e, _, err = f.evaluate(state, rcv); err != nil {
+			return false, nil, nil, err
 		}
 	}
-	out = f.resultOr(results, f.outIdx, f.T.Schema.OutArity)
-	return false, snd, out, nil
+	if e.snd == nil {
+		return true, nil, nil, nil
+	}
+	return false, e.snd.parts, e.out, nil
 }
 
 // memUnchanged reports whether the conflict-resolution update
@@ -372,71 +484,63 @@ func (f *Firing) ProbeParts(state, rcv *fact.Instance) (stateChanged bool, snd [
 // the state size. A nil old stands for the absent (empty) relation.
 func memUnchanged(ins, del, old *fact.Relation) bool {
 	unchanged := true
-	if ins != nil {
-		ins.Each(func(t fact.Tuple) bool {
-			if del != nil && del.Contains(t) {
-				return true // conflict: tuple keeps its old status
-			}
-			if old == nil || !old.Contains(t) {
-				unchanged = false
-			}
-			return unchanged
-		})
-		if !unchanged {
-			return false
+	ins.Each(func(t fact.Tuple) bool {
+		if del.Contains(t) {
+			return true // conflict: tuple keeps its old status
 		}
+		if old == nil || !old.Contains(t) {
+			unchanged = false
+		}
+		return unchanged
+	})
+	if !unchanged || old == nil {
+		return unchanged
 	}
-	if del != nil && old != nil {
-		del.Each(func(t fact.Tuple) bool {
-			if ins != nil && ins.Contains(t) {
-				return true // conflict: tuple keeps its old status
-			}
-			if old.Contains(t) {
-				unchanged = false
-			}
-			return unchanged
-		})
-	}
+	del.Each(func(t fact.Tuple) bool {
+		if ins.Contains(t) {
+			return true // conflict: tuple keeps its old status
+		}
+		if old.Contains(t) {
+			unchanged = false
+		}
+		return unchanged
+	})
 	return unchanged
 }
 
-// Probe evaluates the full transition effect from (state, rcv)
-// without executing it: the cache is read but never advanced, so the
-// configuration's evaluator stays consistent even when the probed
-// effect is discarded. Relations in the returned Effect may be shared
+// Step executes one transition from (state, rcv). A quiet transition
+// returns state itself as the successor and leaves the cache as it
+// is. A state-changing one advances the cache onto the new state:
+// per-query results are kept verbatim when the transition cannot have
+// changed them, advanced by semi-naive delta firing when the state
+// only grew, and dropped otherwise. The second return reports whether
+// the state changed. Relations in the returned Effect may be shared
 // cache storage; callers must not mutate them.
-func (f *Firing) Probe(state, rcv *fact.Instance) (Effect, error) {
-	f.resync(state)
-	results, err := f.evalAll(state, rcv)
-	if err != nil {
-		return Effect{}, err
-	}
-	return f.effect(state, results), nil
-}
-
-// Step executes one transition from (state, rcv), advancing the cache
-// onto the new state: per-query results are kept verbatim when the
-// transition cannot have changed them, advanced by semi-naive delta
-// firing when the state only grew, and dropped otherwise. The second
-// return reports whether the state changed. Relations in the returned
-// Effect may be shared cache storage; callers must not mutate them.
 func (f *Firing) Step(state, rcv *fact.Instance) (Effect, bool, error) {
 	f.resync(state)
-	results, err := f.evalAll(state, rcv)
-	if err != nil {
-		return Effect{}, false, err
+	me, known := f.memo[rcv]
+	var results []*fact.Relation
+	if !known || me.snd == nil {
+		var err error
+		if me, results, err = f.evaluate(state, rcv); err != nil {
+			return Effect{}, false, err
+		}
+	}
+	if me.snd != nil {
+		return Effect{State: state, Snd: me.snd.inst, Out: me.out}, false, nil
 	}
 	eff := f.effect(state, results)
 
-	// Diff the memory update to learn how the state changed; effect
-	// reuses old relation objects for untouched memory, making the
-	// common no-change case a pointer compare.
+	// Diff the memory update to learn how the state changed (quiet
+	// verdicts are exact, so some relation did); effect reuses old
+	// relation objects for untouched memory, making those a pointer
+	// compare.
 	var changed map[string]bool
 	var added *fact.Instance
 	removedAny := false
 	for _, e := range f.memRels {
-		old := state.RelationOr(e.rel, e.arity)
-		now := eff.State.RelationOr(e.rel, e.arity)
+		old := f.oldRel(state, e.rel, e.arity)
+		now := f.oldRel(eff.State, e.rel, e.arity)
 		if old == now {
 			continue
 		}
@@ -455,18 +559,6 @@ func (f *Firing) Step(state, rcv *fact.Instance) (Effect, bool, error) {
 		if !old.SubsetOf(now) {
 			removedAny = true
 		}
-	}
-
-	if len(changed) == 0 {
-		// State content unchanged: every cache entry remains valid;
-		// only the state pointer moves. The successor has the same
-		// content, so it can share the active-domain memo — without
-		// this, every no-op firing (the steady state of a quiescing
-		// network) drops the memo and the next firing rescans the
-		// whole state, which is O(|All|) per node per round.
-		eff.State.AdoptActiveDomain(state, nil)
-		f.state = eff.State
-		return eff, false, nil
 	}
 
 	// newVals collects added values outside the state's active domain.
@@ -516,7 +608,7 @@ func (f *Firing) Step(state, rcv *fact.Instance) (Effect, bool, error) {
 		}
 	}
 	f.state = eff.State
-	f.quietMem = map[string][3]*fact.Relation{}
+	f.forget()
 	return eff, true, nil
 }
 
