@@ -55,10 +55,12 @@ race-batch:
 # scenarios runs the fault-scenario matrix under the race detector:
 # channel-model unit tests, the fair-channel bit-identity and
 # monotone-preservation property harness over the construction zoo,
-# and the CALM channel-robustness checks. All runs use fixed seeds —
-# deterministic per (seed, scenario).
+# the CALM channel-robustness checks, and the golden and dirty-set
+# harnesses that drive the shard-parallel merge with every channel
+# model at 4 workers. All runs use fixed seeds — deterministic per
+# (seed, scenario).
 scenarios:
-	$(GO) test -race -run 'Channel|Scenario|Robust|Crash' ./...
+	$(GO) test -race -run 'Channel|Scenario|Robust|Crash|Golden|DirtySet' ./...
 
 # bench-plan records the compiled query-plan ablation (E17:
 # compile-once vs re-plan vs map-bindings reference, plus the

@@ -192,7 +192,7 @@
 // owns which buffered messages are deliverable, droppable or
 // duplicable at each step, which links are severed, and which nodes
 // crash. run.Options.Channel selects a scenario by spec — "fair"
-// (the default, bit-identical to pre-channel runs), "lossy:PCT"
+// (the default every sim binds), "lossy:PCT"
 // (message loss recovered by retransmission), "dup:PCT"
 // (at-least-once delivery), "partition:EPOCH" (alternating
 // sever/heal epochs with held-message release at the heal) and

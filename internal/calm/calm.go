@@ -107,16 +107,15 @@ type FreeWitness struct {
 // the reported witness is always the first successful partition in
 // family order, so the fan-out never changes the answer.
 func CoordinationFreeOn(net *network.Network, tr *transducer.Transducer, I *fact.Instance, expected *fact.Relation) (*FreeWitness, error) {
-	return coordinationFreeOn(net, tr, I, expected, 0)
+	return coordinationFreeOn(net, tr, witnessPartitions(I, net), expected, 0)
 }
 
-// coordinationFreeOn is CoordinationFreeOn with an explicit worker
-// budget for the partition fan-out: CoordinationFree passes 1 because
-// it already fans out across networks (nesting unbounded pools would
-// oversubscribe the scheduler with workers² live sims).
-func coordinationFreeOn(net *network.Network, tr *transducer.Transducer, I *fact.Instance, expected *fact.Relation, workers int) (*FreeWitness, error) {
+// coordinationFreeOn searches the given witness partitions with an
+// explicit worker budget for the fan-out: CoordinationFree passes 1
+// because it already fans out across networks (nesting unbounded pools
+// would oversubscribe the scheduler with workers² live sims).
+func coordinationFreeOn(net *network.Network, tr *transducer.Transducer, parts []dist.Partition, expected *fact.Relation, workers int) (*FreeWitness, error) {
 	const maxRounds = 200
-	parts := witnessPartitions(I, net)
 	witnesses := make([]*FreeWitness, len(parts))
 	// best tracks the smallest successful partition index so far:
 	// higher-index candidates can be skipped once a lower witness is
@@ -166,6 +165,13 @@ func CoordinationFree(nets map[string]*network.Network, tr *transducer.Transduce
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	// The witness families are built before the fan-out: they read the
+	// shared input through its lazily memoized accessors (RelNames),
+	// which must not be filled concurrently.
+	families := make([][]dist.Partition, len(names))
+	for i, name := range names {
+		families[i] = witnessPartitions(I, nets[name])
+	}
 	witnesses := make([]*FreeWitness, len(names))
 	errs := make([]error, len(names))
 	// minFail tracks the smallest failing index so far; networks after
@@ -181,7 +187,7 @@ func CoordinationFree(nets map[string]*network.Network, tr *transducer.Transduce
 		}
 		// Inner fan-out budget 1: this For already spreads the
 		// networks across the cores.
-		witnesses[i], errs[i] = coordinationFreeOn(nets[names[i]], tr, I, expected, 1)
+		witnesses[i], errs[i] = coordinationFreeOn(nets[names[i]], tr, families[i], expected, 1)
 		if witnesses[i] == nil || errs[i] != nil {
 			par.StoreMin(&minFail, int64(i))
 		}

@@ -1,6 +1,7 @@
 package calm
 
 import (
+	"fmt"
 	"testing"
 
 	"declnet/internal/dist"
@@ -222,5 +223,30 @@ func TestSplitByRelationCovers(t *testing.T) {
 		if hasA && hasB {
 			t.Error("relations not separated")
 		}
+	}
+}
+
+// TestCoordinationFreeSharedInput: CoordinationFree checks the
+// networks concurrently over one shared input instance, so the
+// witness partitions (which read the instance through its lazily
+// memoized accessors) must be built before the fan-out. Run under
+// -race; the instance is fresh so no memo is filled beforehand.
+func TestCoordinationFreeSharedInput(t *testing.T) {
+	tr := dist.EitherNonempty()
+	I := fact.FromFacts(fact.NewFact("A", "a1"), fact.NewFact("A", "a2"), fact.NewFact("B", "b1"))
+	expected, err := ExpectedOutput(tr, I.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := map[string]*network.Network{}
+	for i := 2; i <= 5; i++ {
+		nets[fmt.Sprintf("line%d", i)] = network.Line(i)
+	}
+	ok, failNet, err := CoordinationFree(nets, tr, I, expected)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		t.Errorf("eitherNonempty: no heartbeat-only witness on %s", failNet)
 	}
 }

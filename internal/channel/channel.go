@@ -23,11 +23,12 @@
 // crash/restart mechanics.
 //
 // Every model is deterministic per (seed, scenario): FairLossless
-// consumes exactly the random draws the pre-channel-layer runtimes
-// consumed (bit-identical trajectories), and the fault models draw
-// all extra randomness from the per-node streams (parallel) or from
-// their own PCG seeded at construction (sequential), so the PR 3
-// differential harness extends to fault scenarios directly.
+// consumes exactly the random draws the runtimes made before the
+// channel layer existed (bit-identical trajectories), and the fault
+// models draw all extra randomness from the per-node streams
+// (parallel) or from their own PCG seeded at construction
+// (sequential), so the PR 3 differential harness extends to fault
+// scenarios directly.
 package channel
 
 import (
@@ -100,7 +101,9 @@ type Model interface {
 	// Connected reports whether the src→dst link admits messages at
 	// the given global step. Severed messages are held by the runtime
 	// (never entering dst's buffer or known set) and re-offered as the
-	// step counter advances, so a healed partition releases them.
+	// step counter advances, so a healed partition releases them. It
+	// must be a pure function of its arguments: the parallel runtime
+	// calls it concurrently from every destination shard's merge.
 	Connected(src, dst, step int) bool
 
 	// CrashesIn returns the indices of nodes that crash in the step

@@ -2,8 +2,8 @@ package dist
 
 // Golden bit-identity harness for the compiled query-plan layer: the
 // quiescent output, step count and send count of every zoo
-// construction — sequential and Workers = 1, 2, 4, 8, under the fair
-// fast path and every fault scenario — are pinned to a committed
+// construction — sequential and Workers = 1, 2, 4, 8, under the
+// default channel and every fault scenario — are pinned to a committed
 // golden file generated BEFORE the evaluators were lowered onto
 // internal/plan. Any semantic drift in the lowering (join order is
 // free, results are not) shows up as a golden diff.
@@ -24,7 +24,8 @@ import (
 
 const goldenPath = "testdata/plan_golden.txt"
 
-// goldenChannels covers the fast path ("") plus every scenario family.
+// goldenChannels covers the default channel ("") plus every scenario
+// family.
 var goldenChannels = []string{"", "lossy:30", "dup:30", "partition:12", "crash:1@10"}
 
 func goldenLines(t *testing.T) []string {

@@ -50,10 +50,9 @@ type RunOptions struct {
 	// Channel selects the channel model / fault scenario of the run by
 	// registry spec: "fair", "lossy[:PCT]", "dup[:PCT]",
 	// "partition[:EPOCH]", "crash[:NODE@STEP,...]". Empty keeps the
-	// default FairLossless semantics on the zero-overhead fast path
-	// (bit-identical to the pre-channel-layer runtime); any other spec
-	// routes delivery decisions through the named model, deterministic
-	// per (Seed, Channel) in both the sequential and parallel runtimes.
+	// default FairLossless model every sim binds. Every model is
+	// deterministic per (Seed, Channel) in both the sequential and
+	// parallel runtimes.
 	Channel string
 	// Trace, when non-nil, receives every executed transition.
 	Trace func(network.TraceEvent)
@@ -161,7 +160,7 @@ type SweepOptions struct {
 	// Channels fans the sweep across channel-model scenarios the way
 	// it already fans across partitions and seeds: each spec (see
 	// RunOptions.Channel) multiplies the run matrix. Empty means the
-	// default FairLossless channel only.
+	// default FairLossless model only.
 	Channels []string
 }
 

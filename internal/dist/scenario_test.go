@@ -3,8 +3,8 @@ package dist
 // Fault-scenario property harness: the PR 3 differential tests
 // extended to the channel-model layer. Three properties anchor it:
 //
-//  1. the default FairLossless model routed through the channel layer
-//     is bit-identical to the pre-channel fast path for every zoo
+//  1. the "fair" spec resolved through the scenario registry is
+//     bit-identical to the default FairLossless binding for every zoo
 //     construction, sequentially and at every worker count;
 //  2. monotone programs preserve their quiescent output under loss
 //     and duplication (set-semantics idempotence + retransmission);
@@ -24,11 +24,11 @@ import (
 // most constructions quiesce.
 var scenarioSpecs = []string{"lossy:30", "dup:30", "partition:12", "crash:1@10"}
 
-// TestScenarioFairBitIdentical: Channel "fair" (explicit model,
-// decisions routed through the channel layer) reproduces the
-// trajectory of Channel "" (the pre-channel fast path) bit for bit —
-// same output, steps and sends — for all 14 zoo constructions,
-// sequential and Workers = 1, 2, 4, 8.
+// TestScenarioFairBitIdentical: Channel "fair" (the spec parsed and
+// bound through the scenario registry) reproduces the trajectory of
+// Channel "" (the default FairLossless binding) bit for bit — same
+// output, steps and sends — for all 14 zoo constructions, sequential
+// and Workers = 1, 2, 4, 8.
 func TestScenarioFairBitIdentical(t *testing.T) {
 	for _, e := range diffZoo(t) {
 		t.Run(e.name, func(t *testing.T) {
@@ -54,7 +54,7 @@ func TestScenarioFairBitIdentical(t *testing.T) {
 				ref := runOnce("")
 				got := runOnce("fair")
 				if !got.Output.Equal(ref.Output) {
-					t.Errorf("workers=%d: fair-channel output %s != fast-path %s",
+					t.Errorf("workers=%d: fair-channel output %s != default-binding %s",
 						workers, got.Output, ref.Output)
 				}
 				if got.Steps != ref.Steps || got.Sends != ref.Sends {

@@ -56,17 +56,16 @@ func runWithModel(t *testing.T, m channel.Model, seed int64, parallel int) (*Sim
 	return sim, res
 }
 
-// TestChannelFairBitIdentical: binding an explicit FairLossless model
-// routes every decision through the channel layer, and the resulting
-// trajectory — output, step, heartbeat, delivery and send counters —
-// is bit-identical to the nil-channel fast path, sequentially and in
-// parallel rounds.
+// TestChannelFairBitIdentical: binding a fresh FairLossless model
+// explicitly reproduces the default binding's trajectory — output,
+// step, heartbeat, delivery and send counters — bit for bit,
+// sequentially and in parallel rounds.
 func TestChannelFairBitIdentical(t *testing.T) {
 	for _, workers := range []int{0, 1, 4} {
 		ref, refRes := runWithModel(t, nil, 11, workers)
 		got, gotRes := runWithModel(t, channel.FairLossless(), 11, workers)
 		if !gotRes.Output.Equal(refRes.Output) {
-			t.Errorf("workers=%d: output %s != fast-path %s", workers, gotRes.Output, refRes.Output)
+			t.Errorf("workers=%d: output %s != default-binding %s", workers, gotRes.Output, refRes.Output)
 		}
 		if gotRes.Steps != refRes.Steps || got.Heartbeats != ref.Heartbeats ||
 			got.Deliveries != ref.Deliveries || got.Sends != ref.Sends {
@@ -244,21 +243,50 @@ func TestCrashDropsVolatileKeepsPersisted(t *testing.T) {
 	}
 }
 
-// TestSetChannelAfterStartPanics: the persisted snapshots are taken
-// at bind time, so re-binding mid-run is a programming error.
-func TestSetChannelAfterStartPanics(t *testing.T) {
+// TestSetChannelMidRunCrashRestoresInitial: a crash/restart model
+// bound after the run started takes effect from the current step, and
+// the crash restores exactly the node's initial state — input
+// fragment, Id and All — however far its memory has moved. Crash also
+// works on a sim that never bound a model.
+func TestSetChannelMidRunCrashRestoresInitial(t *testing.T) {
 	net, tr, part, _ := chanTestSetup(t, 2)
 	sim, err := NewSim(net, tr, part)
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := net.Nodes()[1]
+	initial := sim.State(v).Clone()
+	for i := 0; i < 6; i++ {
+		for _, w := range net.Nodes() {
+			if err := sim.Heartbeat(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if sim.State(v).Equal(initial) {
+		t.Fatal("setup: node state never changed")
+	}
+
+	// An event at the current step is in the past and never fires; the
+	// one at the next step does.
+	sim.SetChannel(channel.CrashRestart([]channel.CrashEvent{
+		{Step: sim.Steps, Node: 0}, {Step: sim.Steps + 1, Node: 1}}))
 	if err := sim.Heartbeat(net.Nodes()[0]); err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("SetChannel after the first transition did not panic")
-		}
-	}()
-	sim.SetChannel(channel.FairLossless())
+	sim.advanceChannel()
+	if sim.Crashes != 1 {
+		t.Fatalf("Crashes = %d, want 1 (only the future event fires)", sim.Crashes)
+	}
+	if !sim.State(v).Equal(initial) {
+		t.Errorf("crash restored %s, want the initial state %s", sim.State(v), initial)
+	}
+
+	fresh, err := NewSim(net, tr, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Crash(v); err != nil {
+		t.Errorf("Crash without a bound model: %v", err)
+	}
 }

@@ -124,7 +124,7 @@ func TestDirtyInvalidatedOnStateDelta(t *testing.T) {
 }
 
 // TestDirtyInvalidatedOnCrashRestart: a crash/restart resets the node
-// to its persisted snapshot; the cached verdict must be invalidated
+// to its persisted relations; the cached verdict must be invalidated
 // so the restored state is re-probed against every known fact.
 func TestDirtyInvalidatedOnCrashRestart(t *testing.T) {
 	s := quiesceFlood(t, 4, channel.FairLossless())
@@ -153,9 +153,9 @@ func TestDirtyInvalidatedOnCrashRestart(t *testing.T) {
 }
 
 // TestDirtyInvalidatedOnPartitionHeal: messages parked at a severed
-// link keep the network non-quiescent through the incremental
-// unseen-held gate, and their release at the heal re-dirties the
-// destinations through the admit path.
+// link keep the network non-quiescent through the unseen-held gate,
+// and their release at the heal re-dirties the destinations through
+// the admit path.
 func TestDirtyInvalidatedOnPartitionHeal(t *testing.T) {
 	net, tr, part, _ := chanTestSetup(t, 4)
 	s, err := NewSim(net, tr, part)
@@ -166,9 +166,8 @@ func TestDirtyInvalidatedOnPartitionHeal(t *testing.T) {
 	s.SetChannel(channel.Partition(1_000_000, net.Size()))
 
 	// With the partition severed for the whole budget, messages park at
-	// the cut. The incremental gate must agree with a full scan of the
-	// held queue, and quiescence must be withheld while any held fact
-	// is unseen at its destination.
+	// the cut, and quiescence must be withheld while any held fact is
+	// unseen at its destination.
 	res, err := s.RunParallel(ParallelOptions{Seed: 3, Workers: 2, MaxSteps: 2000})
 	if err != nil {
 		t.Fatal(err)
@@ -180,11 +179,6 @@ func TestDirtyInvalidatedOnPartitionHeal(t *testing.T) {
 		t.Fatal("partition scenario parked no messages; test is vacuous")
 	}
 	wantGate := s.heldUnseen()
-	gotGate := s.heldUnseenCount > 0
-	if wantGate != gotGate {
-		t.Fatalf("incremental held gate=%v, full scan=%v (count=%d, held=%d)",
-			gotGate, wantGate, s.heldUnseenCount, s.PendingHeld())
-	}
 
 	// Heal: advancing the step counter into an odd epoch releases the
 	// held messages into their destination buffers. Unseen releases
@@ -194,37 +188,13 @@ func TestDirtyInvalidatedOnPartitionHeal(t *testing.T) {
 	if s.PendingHeld() != 0 {
 		t.Fatalf("%d messages still held after heal", s.PendingHeld())
 	}
-	if s.heldUnseenCount != 0 {
-		t.Fatalf("heldUnseenCount=%d after heal", s.heldUnseenCount)
+	if s.heldUnseen() {
+		t.Fatal("unseen-held gate still closed after heal")
 	}
 	if wantGate && s.DirtyNodes() == 0 {
 		t.Fatal("unseen releases at the heal dirtied no destination")
 	}
 	checkDirtyInvariant(t, s)
-}
-
-// TestHeldUnseenIncrementalMatchesScan drives a partition scenario to
-// quiescence and checks at the end that the incremental counter and
-// the full held-queue scan always agreed (the run itself would have
-// diverged otherwise: the gate is consulted every round).
-func TestHeldUnseenIncrementalMatchesScan(t *testing.T) {
-	net, tr, part, _ := chanTestSetup(t, 4)
-	s, err := NewSim(net, tr, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.CoalesceDuplicates = true
-	s.SetChannel(channel.Partition(12, net.Size()))
-	res, err := s.RunParallel(ParallelOptions{Seed: 7, Workers: 2, MaxSteps: 100000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Quiescent {
-		t.Fatalf("no quiescence in %d steps", res.Steps)
-	}
-	if got, want := s.heldUnseenCount > 0, s.heldUnseen(); got != want {
-		t.Fatalf("incremental held gate=%v, full scan=%v", got, want)
-	}
 }
 
 // TestFullSweepMatchesDirtySet: the ablation knob reproduces the
@@ -420,15 +390,12 @@ func TestShardOverrideBitIdentical(t *testing.T) {
 
 // TestSharedAllRelation: every node state references the single
 // sealed sim-wide All relation (O(n) total, the 100k-node enabler),
-// and clones — crash snapshots, Sim.Clone — preserve the sharing.
+// and Sim.Clone and crash restarts preserve the sharing.
 func TestSharedAllRelation(t *testing.T) {
 	s := quiesceFlood(t, 4, channel.FairLossless())
 	for _, n := range s.order {
 		if n.state.Relation(transducer.SysAll) != s.allRel {
 			t.Errorf("node %s state does not share the sim-wide All", n.v)
-		}
-		if n.persist.Relation(transducer.SysAll) != s.allRel {
-			t.Errorf("node %s persisted snapshot does not share the sim-wide All", n.v)
 		}
 	}
 	c := s.Clone()

@@ -50,18 +50,15 @@ import (
 //   - merge: each DESTINATION shard drains the outbox column
 //     addressed to it — src shards in ascending order, entries in
 //     fire order — so every buffer receives exactly the append
-//     sequence of the historical coordinator-serial merge, while
-//     distinct destinations merge concurrently. The coordinator only
-//     folds counters and applies out(ρ) additions in node order.
+//     sequence of the sequential interleaving, while distinct
+//     destinations merge concurrently. Each entry asks the channel
+//     whether its link is connected at the step the interleaving
+//     sends it (round start + src index); severed entries park in the
+//     destination shard's own held list. The coordinator only folds
+//     counters and held lists, applies out(ρ) additions and emits
+//     trace events, all in node order.
 //   - probe: the dirty-set quiescence check re-probes only nodes
 //     whose verdict was invalidated, shard-parallel.
-//
-// Runs with a bound channel model or an active trace hook fall back
-// to the historical coordinator-serial merge: held-message parking
-// consults Connected(src, dst, step) with the step counter advancing
-// mid-merge, and trace events must interleave in global node order —
-// both inherently serial. The fast path (nil channel, no trace) is
-// the one the scaling benchmarks measure.
 
 // ParallelOptions configures a parallel round-based run.
 type ParallelOptions struct {
@@ -99,10 +96,8 @@ const parallelStreamSalt = 0xb5297a4d3f84d5a2
 
 // ShardStat reports one shard's share of a RunParallel call: its node
 // range and the wall-clock spent in each phase. Merge time is
-// recorded by the draining (destination) shard on the fast path; runs
-// on the serial-merge fallback (channel model or trace bound) leave
-// it zero because the coordinator merges. Probes counts saturation
-// probes executed at the shard's nodes.
+// recorded by the draining (destination) shard. Probes counts
+// saturation probes executed at the shard's nodes.
 type ShardStat struct {
 	// Lo and Hi delimit the shard's node-index range [Lo, Hi).
 	Lo, Hi int
@@ -128,26 +123,25 @@ func (s *Sim) ShardStats() []ShardStat {
 }
 
 // roundAct is one node's contribution to a round, computed
-// concurrently and applied at the merge barrier. The channel-fault
-// tallies (drops, dups) are accumulated here during the concurrent
-// fire phase and folded into the Sim counters at the barrier, so the
-// fire phase writes no shared memory.
+// concurrently and applied at the merge barrier.
 type roundAct struct {
-	le         localEffect
-	isDelivery bool
-	delivered  *fact.Fact // trace only
-	drops      int
-	dups       int
-	err        error
+	le  localEffect
+	err error
+	// delivered, sent and newOut feed the node's trace event only.
+	delivered *fact.Fact
+	sent      int
+	newOut    []fact.Tuple
 }
 
 // outboxEntry routes one fired node's send list to one neighbor: the
 // destination shard expands acts[src].le.sent into dst's buffer when
 // it drains its mailbox column. Compact (src, dst) pairs keep the
 // mailboxes allocation-light — the facts themselves live in the send
-// memos.
+// memos. buffered is written by the drain: how many of the facts
+// reached dst's buffer (the trace event's Sent share).
 type outboxEntry struct {
 	src, dst int32
+	buffered int32
 }
 
 // shardFold is one shard's per-phase contribution to the shared Sim
@@ -158,10 +152,13 @@ type shardFold struct {
 	errNode int
 	// fire phase
 	deliveries int
+	drops      int
+	dups       int
 	dirtied    int // newly set dirty flags (fire + drain)
 	outNodes   []int32
 	// drain phase
 	sends int
+	held  []heldMsg
 	// probe phase
 	cleared   int
 	probeFail bool
@@ -172,9 +169,8 @@ type shardFold struct {
 // exhausted. Each round every node performs one transition, chosen by
 // the bound channel model from the node's own deterministic PCG
 // stream; the default FairLossless model delivers a uniformly chosen
-// buffered fact or heartbeats with probability 1/(1+|buffer|) —
-// exactly the pre-channel schedule — while fault models may also drop
-// or duplicate the chosen message. Rounds are fair in the limit and
+// buffered fact or heartbeats with probability 1/(1+|buffer|), while
+// fault models may also drop or duplicate the chosen message. Rounds are fair in the limit and
 // the whole run is replayable from (seed, scenario). See the file
 // comment for the equivalence with the paper's interleaved semantics.
 func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
@@ -225,16 +221,7 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 	}
 	s.shardStats = stats
 	folds := make([]shardFold, shards)
-
-	// fastMerge: with no channel model and no trace hook, the merge
-	// itself is shard-parallel (outbox drain). Otherwise the fire and
-	// probe phases still run shard-parallel but the merge replays the
-	// historical coordinator-serial applyCross loop, bit-identically.
-	fastMerge := s.channel == nil && s.Trace == nil
-	var outbox [][]outboxEntry
-	if fastMerge {
-		outbox = make([][]outboxEntry, shards*shards)
-	}
+	outbox := make([][]outboxEntry, shards*shards)
 
 	// Shard-resident pool: worker w owns the contiguous shard block
 	// par.Cut(shards, workers, w) for the whole run and executes every
@@ -280,10 +267,9 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 		}()
 	}
 
-	// Probe phase: re-probe only the dirty nodes of each shard (all
-	// nodes under the full-sweep ablation knob). Verdict failures
-	// leave the flag set; successes clear it locally and report the
-	// count for the coordinator to fold. Probes never touch the
+	// Probe phase: re-probe only the dirty nodes of each shard.
+	// Verdict failures leave the flag set; successes clear it locally
+	// and report the count for the coordinator to fold. Probes never touch the
 	// trajectory, so probing every dirty node (no cross-shard
 	// short-circuit) keeps ProbeCount a pure function of the seed.
 	probeShard := func(sh int) {
@@ -292,7 +278,7 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 		fd.err, fd.cleared, fd.probeFail = nil, 0, false
 		for i := lo[sh]; i < lo[sh+1]; i++ {
 			rt := s.order[i]
-			if !rt.dirty && !s.fullSweep {
+			if !rt.dirty {
 				continue
 			}
 			ok, err := s.quiescentAt(rt)
@@ -304,10 +290,8 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 				fd.probeFail = true
 				continue
 			}
-			if rt.dirty {
-				rt.dirty = false
-				fd.cleared++
-			}
+			rt.dirty = false
+			fd.cleared++
 		}
 		stats[sh].Probe += time.Since(t0)
 	}
@@ -317,17 +301,12 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 		// content the receiver has never seen forbids the verdict.
 		// Checked on the coordinating goroutine between phases, where
 		// no worker owns any node.
-		if s.fullSweep {
-			if s.heldUnseen() {
-				return false, nil
-			}
-		} else {
-			if s.heldUnseenCount > 0 {
-				return false, nil
-			}
-			if s.dirtyCount == 0 {
-				return true, nil
-			}
+		if s.heldUnseen() {
+			return false, nil
+		}
+		s.markFullSweep()
+		if s.dirtyCount == 0 {
+			return true, nil
 		}
 		runPhase(probeShard)
 		all := true
@@ -352,33 +331,22 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 	// Fire phase: every node transitions against the pre-round
 	// configuration, concurrently, touching only its own nodeRT. The
 	// channel model chooses each node's fate from the node's own PCG
-	// stream; a nil channel keeps the historical draw (deliver a
-	// uniform buffered fact or heartbeat) verbatim. On the fast path,
-	// sends are routed into the shard's outbox row as they happen.
+	// stream. Sends are routed into the shard's outbox row as they
+	// happen.
 	fireShard := func(sh int) {
 		t0 := time.Now()
 		fd := &folds[sh]
-		fd.err, fd.deliveries, fd.dirtied = nil, 0, 0
+		fd.err, fd.deliveries, fd.drops, fd.dups, fd.dirtied = nil, 0, 0, 0, 0
 		fd.outNodes = fd.outNodes[:0]
-		var row [][]outboxEntry
-		if fastMerge {
-			row = outbox[sh*shards : (sh+1)*shards]
-			for d := range row {
-				row[d] = row[d][:0]
-			}
+		row := outbox[sh*shards : (sh+1)*shards]
+		for d := range row {
+			row[d] = row[d][:0]
 		}
 		for i := lo[sh]; i < lo[sh+1]; i++ {
 			rt := s.order[i]
 			a := &acts[i]
 			*a = roundAct{}
-			var d channel.Decision
-			if s.channel == nil {
-				if k := streams[i].IntN(1 + len(rt.buf)); k > 0 {
-					d = channel.Decision{Action: channel.Deliver, Index: k - 1}
-				}
-			} else {
-				d = s.channel.Next(i, streams[i], len(rt.buf))
-			}
+			d := s.channel.Next(i, streams[i], len(rt.buf))
 			var rcv *fact.Instance
 			switch d.Action {
 			case channel.Deliver, channel.Duplicate:
@@ -387,10 +355,10 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 					if d.Action == channel.Deliver {
 						rt.buf = removeAt(rt.buf, d.Index)
 					} else {
-						a.dups = 1
+						fd.dups++
 					}
 					rcv = rt.rcvFor(f)
-					a.isDelivery = true
+					fd.deliveries++
 					if s.Trace != nil {
 						a.delivered = &f
 					}
@@ -398,7 +366,7 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 			case channel.Drop:
 				if d.Index >= 0 && d.Index < len(rt.buf) {
 					rt.buf = removeAt(rt.buf, d.Index)
-					a.drops = 1
+					fd.drops++
 				}
 			}
 			a.le, a.err = s.fireLocal(rt, rcv)
@@ -408,16 +376,13 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 				}
 				continue
 			}
-			if a.isDelivery {
-				fd.deliveries++
-			}
 			if a.le.dirtied {
 				fd.dirtied++
 			}
 			if len(a.le.outNew) > 0 {
 				fd.outNodes = append(fd.outNodes, int32(i))
 			}
-			if fastMerge && len(a.le.sent) > 0 {
+			if len(a.le.sent) > 0 {
 				for _, w := range rt.nbrs {
 					dst := shardOf[w.idx]
 					row[dst] = append(row[dst], outboxEntry{src: int32(i), dst: int32(w.idx)})
@@ -427,39 +392,71 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 		stats[sh].Fire += time.Since(t0)
 	}
 
-	// Drain phase (fast path): shard sh drains the outbox column
-	// addressed to it — src shards ascending, entries in fire order —
-	// appending into its own nodes' buffers. Contiguous shards make
-	// src-shard order global src-node order, so each destination
-	// buffer receives exactly the append sequence of the serial merge.
-	// Only destination-owned memory is written; the held/channel paths
-	// are unreachable here (fastMerge implies no channel model).
+	// Drain phase: shard sh drains the outbox column addressed to it —
+	// src shards ascending, entries in fire order — appending into its
+	// own nodes' buffers. Contiguous shards make src-shard order global
+	// src-node order, so each destination buffer receives exactly the
+	// append sequence of the sequential interleaving. s.Steps still
+	// counts the steps before the round, and that interleaving sends
+	// node src's facts at step s.Steps+src: an entry whose link is
+	// severed then parks its facts in the shard's own held list
+	// (Connected is pure, so concurrent calls are safe). Only
+	// destination-owned memory and the shard's fold are written.
 	drainShard := func(sh int) {
 		t0 := time.Now()
 		fd := &folds[sh]
 		fd.sends = 0
 		for src := 0; src < shards; src++ {
-			for _, e := range outbox[src*shards+sh] {
+			col := outbox[src*shards+sh]
+			for j := range col {
+				e := &col[j]
 				le := &acts[e.src].le
 				rt := s.order[e.dst]
+				if !s.channel.Connected(int(e.src), int(e.dst), s.Steps+int(e.src)) {
+					for k, f := range le.sent {
+						key := le.keys[k]
+						if s.CoalesceDuplicates && (heldHas(s.held, rt, key) || heldHas(fd.held, rt, key)) {
+							continue
+						}
+						fd.held = append(fd.held, heldMsg{src: s.order[e.src], dst: rt, f: f, key: key})
+					}
+					continue
+				}
 				for k, f := range le.sent {
-					buffered, _, dirtied := s.admitLocal(rt, f, le.keys[k])
+					buffered, dirtied := s.admitLocal(rt, f, le.keys[k])
 					if buffered {
-						fd.sends++
+						e.buffered++
 					}
 					if dirtied {
 						fd.dirtied++
 					}
 				}
+				fd.sends += int(e.buffered)
 			}
 		}
 		stats[sh].Merge += time.Since(t0)
 	}
 
+	// emitTrace reports the round's transitions in node order, as the
+	// equivalent sequential interleaving would have; s.Steps still
+	// counts the steps before the round.
+	emitTrace := func() {
+		for _, col := range outbox {
+			for _, e := range col {
+				acts[e.src].sent += int(e.buffered)
+			}
+		}
+		for i, rt := range s.order {
+			a := &acts[i]
+			s.Trace(TraceEvent{Step: s.Steps + i + 1, Node: rt.v, Delivered: a.delivered,
+				Sent: a.sent, NewOutput: a.newOut, StateChanged: a.le.stateChanged})
+		}
+	}
+
 	for {
 		// Channel time effects between rounds, while no worker owns a
 		// node: scheduled crashes fire, healed links release held
-		// messages. No-op without a channel model.
+		// messages.
 		s.advanceChannel()
 		q, err := quiescent()
 		if err != nil {
@@ -488,37 +485,35 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 			return RunResult{}, fmt.Errorf("network: parallel round at %s: %w", s.order[errNode].v, firstErr)
 		}
 
-		if fastMerge {
-			// Parallel merge: destination shards drain concurrently,
-			// then the coordinator folds the per-shard deltas and
-			// applies out(ρ) additions in node order.
-			runPhase(drainShard)
-			deliveries := 0
-			for sh := 0; sh < shards; sh++ {
-				fd := &folds[sh]
-				deliveries += fd.deliveries
-				s.Sends += fd.sends
-				s.dirtyCount += fd.dirtied
-				for _, i := range fd.outNodes {
-					for _, t := range acts[i].le.outNew {
-						s.out.Add(t)
+		// Merge: destination shards drain concurrently, then the
+		// coordinator folds the per-shard deltas and held lists and
+		// applies out(ρ) additions in node order.
+		runPhase(drainShard)
+		deliveries := 0
+		for sh := 0; sh < shards; sh++ {
+			fd := &folds[sh]
+			deliveries += fd.deliveries
+			s.Drops += fd.drops
+			s.Duplicates += fd.dups
+			s.Sends += fd.sends
+			s.dirtyCount += fd.dirtied
+			s.Held += len(fd.held)
+			s.held = append(s.held, fd.held...)
+			fd.held = fd.held[:0]
+			for _, i := range fd.outNodes {
+				a := &acts[i]
+				for _, t := range a.le.outNew {
+					if s.out.Add(t) && s.Trace != nil {
+						a.newOut = append(a.newOut, t)
 					}
 				}
 			}
-			s.Deliveries += deliveries
-			s.Heartbeats += n - deliveries
-			s.Steps += n
-		} else {
-			// Serial-merge fallback: channel models consult
-			// Connected(src, dst, step) with the step counter
-			// advancing mid-merge, and trace events interleave in
-			// global node order — the historical coordinator loop,
-			// bit-identical to the pre-shard runtime.
-			for i := 0; i < n; i++ {
-				s.Drops += acts[i].drops
-				s.Duplicates += acts[i].dups
-				s.applyCross(s.order[i], acts[i].le, acts[i].isDelivery, acts[i].delivered)
-			}
 		}
+		s.Deliveries += deliveries
+		s.Heartbeats += n - deliveries
+		if s.Trace != nil {
+			emitTrace()
+		}
+		s.Steps += n
 	}
 }

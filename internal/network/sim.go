@@ -53,10 +53,8 @@ type Sim struct {
 	// whole run universe collectable.
 	dict *fact.Dict
 
-	// channel is the bound channel model (see SetChannel). nil keeps
-	// the default FairLossless semantics on the zero-overhead fast
-	// path that predates the channel layer — bit-identical schedules,
-	// no per-enqueue interface calls.
+	// channel is the bound channel model (see SetChannel); never nil —
+	// every sim starts on channel.FairLossless.
 	channel channel.Model
 	// held queues messages the channel refuses to admit right now
 	// (severed partition links): they have left the sender but not
@@ -73,26 +71,16 @@ type Sim struct {
 	// those; dirtyCount == 0 (with no unseen held content) IS the
 	// verdict. See Quiescent.
 	dirtyCount int
-	// heldUnseenCount is the incremental form of the heldUnseen() scan:
-	// the number of messages parked at severed links whose content the
-	// receiver has never seen. heldUnseenByDst tracks, per destination,
-	// how many parked copies of each unseen fact key contribute, so the
-	// admit that first makes a key known can retire all of them at
-	// once. Maintained on park (enqueue) and on admit; always zero on
-	// the nil-channel fast path.
-	heldUnseenCount int
-	heldUnseenByDst map[*nodeRT]map[string]int
 	// fullSweep disables dirty-set quiescence: every check probes every
 	// node, like the pre-dirty-set runtime. Ablation and differential
-	// testing only (SetFullProbeSweep); verdicts are provably identical
-	// either way.
+	// testing only (SetFullProbeSweep, applied by markFullSweep);
+	// verdicts are provably identical either way.
 	fullSweep bool
 
-	// allRel is the sealed All relation shared by every node state (and
-	// every persisted snapshot): one O(n) relation instead of n copies.
-	// Sealed at construction and never mutated — transducer transitions
-	// replace memory relations on a shallow clone and never write
-	// system relations in place.
+	// allRel is the sealed All relation shared by every node state: one
+	// O(n) relation instead of n copies. Sealed at construction and
+	// never mutated — transducer transitions replace memory relations
+	// on a shallow clone and never write system relations in place.
 	allRel *fact.Relation
 	// shardStats holds the per-shard phase timings of the most recent
 	// RunParallel call; see ShardStats.
@@ -144,11 +132,6 @@ type nodeRT struct {
 
 	state *fact.Instance
 	buf   []fact.Fact
-	// persist is the crash-surviving snapshot of the node's initial
-	// state — the Dedalus-style persisted relations: input fragment,
-	// Id and All. Captured by SetChannel; nil when no channel model is
-	// bound (crashes impossible).
-	persist *fact.Instance
 	// known tracks every distinct message fact that was ever buffered
 	// at or delivered to the node, keyed by the interned fact key. It
 	// drives the saturation-based quiescence check.
@@ -259,11 +242,12 @@ func NewSimDict(net *Network, tr *transducer.Transducer, partition map[fact.Valu
 		dict = out.Dict()
 	}
 	s := &Sim{
-		Net:   net,
-		Tr:    tr,
-		nodes: map[fact.Value]*nodeRT{},
-		out:   out,
-		dict:  dict,
+		Net:     net,
+		Tr:      tr,
+		nodes:   map[fact.Value]*nodeRT{},
+		out:     out,
+		dict:    dict,
+		channel: channel.FairLossless(),
 	}
 	nodes := net.Nodes()
 	nodeSet := map[fact.Value]bool{}
@@ -423,24 +407,16 @@ func removeAt(buf []fact.Fact, i int) []fact.Fact {
 
 // SetChannel binds a channel model (internal/channel) to the sim: the
 // model owns which buffered messages are deliverable, droppable or
-// duplicable, which links are severed, and which nodes crash. nil (or
-// never calling SetChannel) keeps the default fair-lossless semantics
-// on the pre-channel fast path. Binding captures each node's
-// persisted-state snapshot, so it must happen before the first
-// transition.
+// duplicable, which links are severed, and which nodes crash. nil
+// rebinds the default channel.FairLossless. A model may be bound at
+// any point of a run; it takes effect from the current step, so crash
+// events scheduled at or before it never fire.
 func (s *Sim) SetChannel(m channel.Model) {
-	if s.Steps > 0 {
-		panic("network: SetChannel after the run started")
+	if m == nil {
+		m = channel.FairLossless()
 	}
 	s.channel = m
-	if m == nil {
-		return
-	}
-	for _, n := range s.order {
-		if n.persist == nil {
-			n.persist = s.cloneSharingAll(n.state)
-		}
-	}
+	s.lastCrashStep = s.Steps
 }
 
 // cloneSharingAll deep-copies a node state except for the All
@@ -459,8 +435,8 @@ func (s *Sim) cloneSharingAll(st *fact.Instance) *fact.Instance {
 	return c
 }
 
-// ChannelModel returns the bound channel model (nil means the default
-// FairLossless fast path).
+// ChannelModel returns the bound channel model (channel.FairLossless
+// unless SetChannel bound another).
 func (s *Sim) ChannelModel() channel.Model { return s.channel }
 
 // PendingHeld returns the number of messages currently parked at
@@ -469,29 +445,34 @@ func (s *Sim) PendingHeld() int { return len(s.held) }
 
 // Crash crashes node v: its message buffer and volatile state
 // (memory relations, evaluator caches) are dropped, and it restarts
-// from the Dedalus-style persisted relations — the input fragment,
-// Id and All captured at SetChannel time. The accumulated run output
-// out(ρ) is durable and survives.
+// from the Dedalus-style durable relations — the input fragment, Id
+// and All. The accumulated run output out(ρ) is durable and survives.
 func (s *Sim) Crash(v fact.Value) error {
 	n := s.nodes[v]
 	if n == nil {
 		return fmt.Errorf("network: crash at unknown node %s", v)
 	}
-	if n.persist == nil {
-		return fmt.Errorf("network: crash at %s: no persisted snapshot (bind a channel model with SetChannel first)", v)
-	}
 	s.crash(n)
 	return nil
 }
 
-// crash resets n to its persisted snapshot. The known set is run-level
+// crash restarts n from its durable relations. Transitions replace
+// only memory relations, so the input, Id and All relations of the
+// current state are still the initial ones: the restored state shares
+// them and drops the memory relations. The known set is run-level
 // bookkeeping of the saturation check (every message fact the channel
 // ever carried toward n), not node state, so it survives — keeping it
 // is what makes the quiescence check conservative across crashes: a
 // quiescence point is only declared once re-delivering any previously
 // seen fact to the restarted node is a no-op again.
 func (s *Sim) crash(n *nodeRT) {
-	n.state = s.cloneSharingAll(n.persist)
+	st := s.dict.NewInstance()
+	for _, nm := range n.state.RelNames() {
+		if _, mem := s.Tr.Schema.Mem[nm]; !mem {
+			st.SetRelationOwned(nm, n.state.Relation(nm))
+		}
+	}
+	n.state = st
 	n.buf = nil
 	n.firing = nil
 	n.probedOut = nil
@@ -513,11 +494,7 @@ func (s *Sim) crash(n *nodeRT) {
 // links that have healed are released into their destination buffers.
 // Both runtimes call it between transitions (the sequential loop) or
 // rounds (the parallel merge barrier), where no worker owns any node.
-// A nil channel makes it a no-op, preserving the fast path exactly.
 func (s *Sim) advanceChannel() {
-	if s.channel == nil {
-		return
-	}
 	for _, idx := range s.channel.CrashesIn(s.lastCrashStep, s.Steps) {
 		if idx >= 0 && idx < len(s.order) {
 			s.crash(s.order[idx])
@@ -681,60 +658,20 @@ func (s *Sim) fireLocal(n *nodeRT, rcv *fact.Instance) (localEffect, error) {
 // otherwise it is admitted into w's buffer. Returns whether the fact
 // was actually buffered (false when held or coalesced away).
 func (s *Sim) enqueue(src, w *nodeRT, f fact.Fact, key string) bool {
-	if s.channel != nil && !s.channel.Connected(src.idx, w.idx, s.Steps) {
-		if s.CoalesceDuplicates && s.heldHas(w, key) {
-			return false
+	if !s.channel.Connected(src.idx, w.idx, s.Steps) {
+		if !s.CoalesceDuplicates || !heldHas(s.held, w, key) {
+			s.held = append(s.held, heldMsg{src: src, dst: w, f: f, key: key})
+			s.Held++
 		}
-		s.held = append(s.held, heldMsg{src: src, dst: w, f: f, key: key})
-		s.Held++
-		s.heldUnseenAdd(w, key)
 		return false
 	}
 	return s.admit(w, f, key)
 }
 
-// heldUnseenAdd records that a copy of key was parked toward w while
-// w has never seen it: the incremental counterpart of the heldUnseen
-// scan.
-func (s *Sim) heldUnseenAdd(w *nodeRT, key string) {
-	if _, known := w.known[key]; known {
-		return
-	}
-	if s.heldUnseenByDst == nil {
-		s.heldUnseenByDst = map[*nodeRT]map[string]int{}
-	}
-	m := s.heldUnseenByDst[w]
-	if m == nil {
-		m = map[string]int{}
-		s.heldUnseenByDst[w] = m
-	}
-	m[key]++
-	s.heldUnseenCount++
-}
-
-// noteSeen retires every unseen-held count for key at w — called by
-// admit at the moment w's known set first gains the key. Parked
-// copies may remain at severed links, but their content is now seen,
-// so they no longer block the quiescence verdict (exactly the
-// heldUnseen scan's criterion).
-func (s *Sim) noteSeen(w *nodeRT, key string) {
-	if s.heldUnseenCount == 0 {
-		return
-	}
-	m := s.heldUnseenByDst[w]
-	if m == nil {
-		return
-	}
-	if c, ok := m[key]; ok {
-		s.heldUnseenCount -= c
-		delete(m, key)
-	}
-}
-
-// heldHas reports whether an identical message toward w is already
-// parked at a severed link.
-func (s *Sim) heldHas(w *nodeRT, key string) bool {
-	for _, h := range s.held {
+// heldHas reports whether an identical message toward w is parked in
+// held.
+func heldHas(held []heldMsg, w *nodeRT, key string) bool {
+	for _, h := range held {
 		if h.dst == w && h.key == key {
 			return true
 		}
@@ -746,10 +683,7 @@ func (s *Sim) heldHas(w *nodeRT, key string) bool {
 // w's known set and saturation bookkeeping; it returns whether the
 // fact was actually buffered (false when coalesced away).
 func (s *Sim) admit(w *nodeRT, f fact.Fact, key string) bool {
-	buffered, newlyKnown, dirtied := s.admitLocal(w, f, key)
-	if newlyKnown {
-		s.noteSeen(w, key)
-	}
+	buffered, dirtied := s.admitLocal(w, f, key)
 	if dirtied {
 		s.dirtyCount++
 	}
@@ -764,10 +698,9 @@ func (s *Sim) admit(w *nodeRT, f fact.Fact, key string) bool {
 // the caller can fold the shared-counter effects — directly (admit)
 // or through per-shard deltas (the parallel drain, which calls it
 // concurrently for nodes of distinct shards).
-func (s *Sim) admitLocal(w *nodeRT, f fact.Fact, key string) (buffered, newlyKnown, dirtied bool) {
+func (s *Sim) admitLocal(w *nodeRT, f fact.Fact, key string) (buffered, dirtied bool) {
 	if _, seen := w.known[key]; !seen {
 		w.known[key] = f
-		newlyKnown = true
 		if w.clean {
 			w.pendingProbe = append(w.pendingProbe, f)
 		}
@@ -776,19 +709,21 @@ func (s *Sim) admitLocal(w *nodeRT, f fact.Fact, key string) (buffered, newlyKno
 		// the saturation check already covers their redelivery.
 		dirtied = w.markDirty()
 	} else if s.CoalesceDuplicates && bufferHas(w.buf, f) {
-		return false, false, false
+		return false, false
 	}
 	w.buf = append(w.buf, f)
-	return true, newlyKnown, dirtied
+	return true, dirtied
 }
 
-// applyCross applies the cross-node half of a transition at n:
-// deliver the sent facts to every neighbor's buffer, add the new
-// output tuples to out(ρ), bump the counters and emit the trace
-// event (delivered is trace-only and may be nil even for deliveries
-// when tracing is off). The parallel merge barrier calls it for each
-// node in stable node order.
-func (s *Sim) applyCross(n *nodeRT, le localEffect, isDelivery bool, delivered *fact.Fact) {
+// transition executes one transition at n: the node-local half
+// (fireLocal), then the cross-node half — deliver the sent facts to
+// every neighbor's buffer, add the new output tuples to out(ρ), bump
+// the counters and emit the trace event.
+func (s *Sim) transition(n *nodeRT, rcv *fact.Instance) error {
+	le, err := s.fireLocal(n, rcv)
+	if err != nil {
+		return err
+	}
 	sendsBefore := s.Sends
 	if le.dirtied {
 		s.dirtyCount++
@@ -805,30 +740,21 @@ func (s *Sim) applyCross(n *nodeRT, le localEffect, isDelivery bool, delivered *
 		}
 	}
 	s.Steps++
-	if isDelivery {
+	if rcv != nil {
 		s.Deliveries++
 	} else {
 		s.Heartbeats++
 	}
 	if s.Trace != nil {
+		var delivered *fact.Fact
+		if rcv != nil {
+			if facts := rcv.Facts(); len(facts) == 1 {
+				delivered = &facts[0]
+			}
+		}
 		s.Trace(TraceEvent{Step: s.Steps, Node: n.v, Delivered: delivered,
 			Sent: s.Sends - sendsBefore, NewOutput: newOut, StateChanged: le.stateChanged})
 	}
-}
-
-func (s *Sim) transition(n *nodeRT, rcv *fact.Instance) error {
-	le, err := s.fireLocal(n, rcv)
-	if err != nil {
-		return err
-	}
-	var delivered *fact.Fact
-	if rcv != nil && s.Trace != nil {
-		facts := rcv.Facts()
-		if len(facts) == 1 {
-			delivered = &facts[0]
-		}
-	}
-	s.applyCross(n, le, rcv != nil, delivered)
 	return nil
 }
 
@@ -863,22 +789,10 @@ func bufferHas(buf []fact.Fact, f fact.Fact) bool {
 // sets the dirty flag. With an empty dirty set (and no unseen held
 // content) the verdict is immediate.
 func (s *Sim) Quiescent() (bool, error) {
-	if s.fullSweep {
-		if s.heldUnseen() {
-			return false, nil
-		}
-		for _, n := range s.order {
-			ok, err := s.quiescentAt(n)
-			if err != nil || !ok {
-				return false, err
-			}
-			s.clearDirty(n)
-		}
-		return true, nil
-	}
-	if s.heldUnseenCount > 0 {
+	if s.heldUnseen() {
 		return false, nil
 	}
+	s.markFullSweep()
 	if s.dirtyCount == 0 {
 		return true, nil
 	}
@@ -905,13 +819,27 @@ func (s *Sim) clearDirty(n *nodeRT) {
 }
 
 // SetFullProbeSweep disables (on=true) dirty-set quiescence: every
-// check probes every node and rescans the held queue, reproducing the
-// pre-dirty-set runtime's verdict procedure exactly. The verdicts are
-// provably identical either way — this knob exists so the
-// differential harness can machine-check that, and so the probe-count
-// ablation has a baseline. Not a semantics switch; trajectories are
-// unaffected.
+// check probes every node, reproducing the pre-dirty-set runtime's
+// verdict procedure exactly. The verdicts are provably identical
+// either way — this knob exists so the differential harness can
+// machine-check that, and so the probe-count ablation has a baseline.
+// Not a semantics switch; trajectories are unaffected.
 func (s *Sim) SetFullProbeSweep(on bool) { s.fullSweep = on }
+
+// markFullSweep is the whole of the full-sweep ablation: it marks
+// every node dirty before a quiescence check, so both runtimes'
+// dirty-set checks probe every node. A no-op unless SetFullProbeSweep
+// turned the ablation on.
+func (s *Sim) markFullSweep() {
+	if !s.fullSweep {
+		return
+	}
+	for _, n := range s.order {
+		if n.markDirty() {
+			s.dirtyCount++
+		}
+	}
+}
 
 // DirtyNodes returns the current size of the quiescence dirty set:
 // the number of nodes whose cached verdict is invalid.
@@ -937,7 +865,9 @@ func (s *Sim) ProbeCount() int64 {
 // an obligation the future still owes: the saturation probes cannot
 // cover it (they sweep known facts only), so the configuration is not
 // quiescent until the link heals and the fact at least reaches the
-// known set. Both runtimes gate their quiescence verdicts on it.
+// known set. Both runtimes gate their quiescence verdicts on it; the
+// scan is O(|held|), and held is empty unless a partition severs a
+// link.
 func (s *Sim) heldUnseen() bool {
 	for _, h := range s.held {
 		if _, known := h.dst.known[h.key]; !known {
@@ -1050,7 +980,7 @@ func (s *Sim) probe(n *nodeRT, rcv *fact.Instance) (bool, error) {
 // (counters included), sharing the immutable network and transducer.
 // Evaluator caches and probe memos are not copied; they rebuild
 // lazily. The channel model binding is NOT carried over — models are
-// stateful per run — so the clone reverts to fair-lossless delivery;
+// stateful per run — so the clone reverts to channel.FairLossless;
 // messages parked at severed links are flushed into their destination
 // buffers (the clone's channel is healed from step one).
 func (s *Sim) Clone() *Sim {
@@ -1066,6 +996,7 @@ func (s *Sim) Clone() *Sim {
 		CoalesceDuplicates: s.CoalesceDuplicates,
 		allRel:             s.allRel,
 		fullSweep:          s.fullSweep,
+		channel:            channel.FairLossless(),
 	}
 	for _, n := range s.order {
 		cn := &nodeRT{
@@ -1081,9 +1012,6 @@ func (s *Sim) Clone() *Sim {
 		}
 		if cn.dirty {
 			c.dirtyCount++
-		}
-		if n.persist != nil {
-			cn.persist = s.cloneSharingAll(n.persist)
 		}
 		for key, f := range n.known {
 			cn.known[key] = f
@@ -1160,8 +1088,8 @@ func (s *Sim) Run(sched Scheduler, maxSteps int) (RunResult, error) {
 	}
 	sinceCheck := checkEvery // force an initial check
 	for s.Steps < maxSteps {
-		// Channel time effects first (no-op without a channel model):
-		// scheduled crashes fire, healed links release held messages.
+		// Channel time effects first: scheduled crashes fire, healed
+		// links release held messages.
 		s.advanceChannel()
 		if sinceCheck >= checkEvery {
 			sinceCheck = 0
@@ -1173,31 +1101,18 @@ func (s *Sim) Run(sched Scheduler, maxSteps int) (RunResult, error) {
 				return RunResult{Output: s.Output(), Quiescent: true, Steps: s.Steps, Sends: s.Sends}, nil
 			}
 		}
+		// The scheduler proposes; the channel model decides whether the
+		// chosen message is deliverable, droppable or duplicable.
 		ev := sched.Next(s)
-		var err error
-		if s.channel == nil {
-			// Pre-channel fast path: scheduler proposals execute
-			// directly, bit-identical to the historical runtime.
-			if ev.Deliver {
-				err = s.DeliverIndex(ev.Node, ev.Index)
-			} else {
-				err = s.Heartbeat(ev.Node)
-			}
-		} else {
-			// The scheduler proposes; the channel model decides
-			// whether the chosen message is deliverable, droppable or
-			// duplicable.
-			n := s.nodes[ev.Node]
-			if n == nil {
-				return RunResult{}, fmt.Errorf("network: scheduler chose unknown node %s", ev.Node)
-			}
-			idx := -1
-			if ev.Deliver {
-				idx = ev.Index
-			}
-			err = s.execute(n, s.channel.Filter(n.idx, s.Steps, idx, len(n.buf)))
+		n := s.nodes[ev.Node]
+		if n == nil {
+			return RunResult{}, fmt.Errorf("network: scheduler chose unknown node %s", ev.Node)
 		}
-		if err != nil {
+		idx := -1
+		if ev.Deliver {
+			idx = ev.Index
+		}
+		if err := s.execute(n, s.channel.Filter(n.idx, s.Steps, idx, len(n.buf))); err != nil {
 			return RunResult{}, err
 		}
 		sinceCheck++

@@ -165,10 +165,8 @@ func NewHeartbeatOnly() Scheduler { return inetwork.NewHeartbeatOnly() }
 // A ChannelModel owns which buffered messages are deliverable,
 // droppable or duplicable at each step, which links are severed, and
 // which nodes crash; Sim.SetChannel binds one, or set Options.Channel
-// to a scenario spec and let NewSim bind it. The default (no model)
-// is the paper's fair-lossless §3 channel on a zero-overhead fast
-// path, bit-identical to runs recorded before the channel layer
-// existed.
+// to a scenario spec and let NewSim bind it. Every sim starts on
+// FairLossless, the paper's fair-lossless §3 channel.
 type (
 	// ChannelModel decides the fate of buffered messages each step.
 	ChannelModel = ichannel.Model
