@@ -72,7 +72,8 @@
 // hash sets over those keys with lazily built per-column hash
 // indexes; semi-naive fixpoints run on the kernel's delta-relation
 // type, and FO queries expose exact semi-naive delta evaluation for
-// their positive branches. Every relation, instance, delta and batch
+// their positive branches, as do the linear union and copy queries of
+// package query. Every relation, instance, delta and batch
 // carries its owning *Dict and derived values inherit it; a
 // process-default dictionary (DefaultDict) keeps dictionary-unaware
 // code working unchanged, NewDict mints a private ID space whose
@@ -128,7 +129,11 @@
 // state, advanced by delta firing), so a delivery evaluates against
 // (state, Δ = delivered fact) for monotone/streaming transducers and
 // falls back to full evaluation for non-monotone ones — with effects
-// identical to the textbook transition either way. A local transition
+// identical to the textbook transition either way. The flood
+// substrate is incremental in every query: its sends and accumulator
+// inserts are unions, and its output on the collected fragment
+// advances by the facts a state change adds to that fragment, which
+// are usually none. A local transition
 // is a function of (state, received fact), and a fair run keeps
 // redelivering known facts to saturated nodes, so the cache also
 // memoizes each transition per state and receive instance: a

@@ -29,17 +29,56 @@ func floodSubstrate(b *transducer.Builder, in fact.Schema) {
 // collectedQuery wraps q so that it evaluates on the node's collected
 // fragment of the global input — own input relations united with the
 // untagged flood accumulators, under the original relation names. The
-// wrapper inherits q's monotonicity annotation.
+// wrapper inherits q's monotonicity annotation. A monotone wrapper is
+// delta-evaluable, so the incremental firing advances it across state
+// growth instead of dropping it: most state deltas of the flood
+// substrate add nothing to the collected fragment (the accumulator
+// absorbing the node's own input, or a fact already collected), and
+// then nothing can be new; otherwise q is re-evaluated in full, a valid
+// delta because q is monotone.
 func collectedQuery(in fact.Schema, q query.Query) query.Query {
 	reads := make([]string, 0, 2*len(in))
 	for _, rel := range in.Names() {
 		reads = append(reads, rel, rel+accMemSuffix)
 	}
-	return query.NewFunc("collected:"+fmt.Sprint(q.Rels()), q.Arity(), reads,
-		q.SyntacticallyMonotone(),
-		func(I *fact.Instance) (*fact.Relation, error) {
-			return q.Eval(Collected(I, in, false))
-		})
+	eval := func(I *fact.Instance) (*fact.Relation, error) {
+		return q.Eval(Collected(I, in, false))
+	}
+	var delta func(full, delta *fact.Instance) (*fact.Relation, error)
+	if q.SyntacticallyMonotone() {
+		delta = func(full, delta *fact.Instance) (*fact.Relation, error) {
+			if collectsNothing(in, full, delta) {
+				return full.Dict().NewRelation(q.Arity()), nil
+			}
+			return eval(full)
+		}
+	}
+	return query.NewDeltaFunc("collected:"+fmt.Sprint(q.Rels()), q.Arity(), reads,
+		q.SyntacticallyMonotone(), eval, delta)
+}
+
+// collectsNothing reports whether delta adds no fact to the collected
+// fragment of full: full holds every fact of delta under R or R@acc
+// also under a name delta did not add it to.
+func collectsNothing(in fact.Schema, full, delta *fact.Instance) bool {
+	for rel, k := range in {
+		own, ownD := full.RelationOr(rel, k), delta.RelationOr(rel, k)
+		acc, accD := full.RelationOr(rel+accMemSuffix, k), delta.RelationOr(rel+accMemSuffix, k)
+		old := func(t fact.Tuple) bool {
+			return (own.Contains(t) && !ownD.Contains(t)) || (acc.Contains(t) && !accD.Contains(t))
+		}
+		for _, d := range [2]*fact.Relation{ownD, accD} {
+			fresh := false
+			d.Each(func(t fact.Tuple) bool {
+				fresh = !old(t)
+				return !fresh
+			})
+			if fresh {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Flood returns the Lemma 5(2) transducer: oblivious replication of

@@ -84,7 +84,7 @@ func TestDirtyInvalidatedOnBufferPush(t *testing.T) {
 	m := s2.order[1]
 	var seen fact.Fact
 	for _, g := range m.known {
-		seen = g
+		seen = g.f
 		break
 	}
 	if seen.Rel == "" {

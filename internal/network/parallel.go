@@ -352,12 +352,13 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 			case channel.Deliver, channel.Duplicate:
 				if d.Index >= 0 && d.Index < len(rt.buf) {
 					f := rt.buf[d.Index]
+					key := f.KeyIn(rt.dict)
 					if d.Action == channel.Deliver {
-						rt.buf = removeAt(rt.buf, d.Index)
+						rt.dequeue(d.Index, key)
 					} else {
 						fd.dups++
 					}
-					rcv = rt.rcvFor(f)
+					rcv = rt.rcvFor(f, key)
 					fd.deliveries++
 					if s.Trace != nil {
 						a.delivered = &f
@@ -365,7 +366,7 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 				}
 			case channel.Drop:
 				if d.Index >= 0 && d.Index < len(rt.buf) {
-					rt.buf = removeAt(rt.buf, d.Index)
+					rt.dequeue(d.Index, rt.buf[d.Index].KeyIn(rt.dict))
 					fd.drops++
 				}
 			}

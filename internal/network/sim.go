@@ -134,8 +134,10 @@ type nodeRT struct {
 	buf   []fact.Fact
 	// known tracks every distinct message fact that was ever buffered
 	// at or delivered to the node, keyed by the interned fact key. It
-	// drives the saturation-based quiescence check.
-	known map[string]fact.Fact
+	// drives the saturation-based quiescence check, and each entry
+	// counts the fact's copies in buf, which is what duplicate
+	// coalescing tests.
+	known map[string]*knownFact
 
 	// firing holds the node's incremental evaluator: cached query
 	// results advanced by delta firing on monotone/streaming
@@ -182,6 +184,20 @@ type nodeRT struct {
 	// counter. Owner-written, like every nodeRT field, so the parallel
 	// probe phase needs no atomics.
 	probes int64
+}
+
+// knownFact is one entry of a node's known set: the fact and the
+// number of its copies queued in the node's buffer. Every buffer
+// change keeps queued in step: admit, delivery, drop, crash and Clone.
+type knownFact struct {
+	f      fact.Fact
+	queued int
+}
+
+// dequeue removes the buffered fact at i, whose interned key is key.
+func (n *nodeRT) dequeue(i int, key string) {
+	n.buf = removeAt(n.buf, i)
+	n.known[key].queued--
 }
 
 // markDirty sets the dirty flag, reporting whether it was newly set —
@@ -312,7 +328,7 @@ func NewSimDict(net *Network, tr *transducer.Transducer, partition map[fact.Valu
 			dict:     dict,
 			idx:      len(s.order),
 			state:    st,
-			known:    map[string]fact.Fact{},
+			known:    map[string]*knownFact{},
 			rcvCache: map[string]*fact.Instance{},
 			dirty:    true,
 		}
@@ -391,12 +407,13 @@ func (s *Sim) deliverAt(n *nodeRT, idx int, keep bool) error {
 		return fmt.Errorf("network: delivery index %d out of range at %s (buffer %d)", idx, n.v, len(n.buf))
 	}
 	f := n.buf[idx]
+	key := f.KeyIn(n.dict)
 	if keep {
 		s.Duplicates++
 	} else {
-		n.buf = removeAt(n.buf, idx)
+		n.dequeue(idx, key)
 	}
-	return s.transition(n, n.rcvFor(f))
+	return s.transition(n, n.rcvFor(f, key))
 }
 
 // removeAt removes the buffer element at i, copying the tail so the
@@ -474,6 +491,9 @@ func (s *Sim) crash(n *nodeRT) {
 	}
 	n.state = st
 	n.buf = nil
+	for _, e := range n.known {
+		e.queued = 0
+	}
 	n.firing = nil
 	n.probedOut = nil
 	n.probedSnd = nil
@@ -527,7 +547,7 @@ func (s *Sim) execute(n *nodeRT, d channel.Decision) error {
 		// a heartbeat. Senders recover by retransmission: send
 		// relations are recomputed from state on every transition.
 		if d.Index >= 0 && d.Index < len(n.buf) {
-			n.buf = removeAt(n.buf, d.Index)
+			n.dequeue(d.Index, n.buf[d.Index].KeyIn(n.dict))
 			s.Drops++
 		}
 		return s.transition(n, nil)
@@ -586,9 +606,8 @@ func (n *nodeRT) sentFacts(snd *fact.Instance) ([]fact.Fact, []string) {
 }
 
 // rcvFor returns the (shared, read-only) single-fact receive instance
-// for f, cached by interned fact key.
-func (n *nodeRT) rcvFor(f fact.Fact) *fact.Instance {
-	key := f.KeyIn(n.dict)
+// for f, cached by its interned fact key.
+func (n *nodeRT) rcvFor(f fact.Fact, key string) *fact.Instance {
 	if i, ok := n.rcvCache[key]; ok {
 		return i
 	}
@@ -699,8 +718,10 @@ func (s *Sim) admit(w *nodeRT, f fact.Fact, key string) bool {
 // or through per-shard deltas (the parallel drain, which calls it
 // concurrently for nodes of distinct shards).
 func (s *Sim) admitLocal(w *nodeRT, f fact.Fact, key string) (buffered, dirtied bool) {
-	if _, seen := w.known[key]; !seen {
-		w.known[key] = f
+	e, seen := w.known[key]
+	if !seen {
+		e = &knownFact{f: f}
+		w.known[key] = e
 		if w.clean {
 			w.pendingProbe = append(w.pendingProbe, f)
 		}
@@ -708,9 +729,10 @@ func (s *Sim) admitLocal(w *nodeRT, f fact.Fact, key string) (buffered, dirtied 
 		// cached quiescence verdict; re-buffered known facts do not —
 		// the saturation check already covers their redelivery.
 		dirtied = w.markDirty()
-	} else if s.CoalesceDuplicates && bufferHas(w.buf, f) {
+	} else if s.CoalesceDuplicates && e.queued > 0 {
 		return false, false
 	}
+	e.queued++
 	w.buf = append(w.buf, f)
 	return true, dirtied
 }
@@ -756,15 +778,6 @@ func (s *Sim) transition(n *nodeRT, rcv *fact.Instance) error {
 			Sent: s.Sends - sendsBefore, NewOutput: newOut, StateChanged: le.stateChanged})
 	}
 	return nil
-}
-
-func bufferHas(buf []fact.Fact, f fact.Fact) bool {
-	for _, g := range buf {
-		if g.Equal(f) {
-			return true
-		}
-	}
-	return false
 }
 
 // Quiescent performs the saturation check: it reports whether no
@@ -895,7 +908,7 @@ func (s *Sim) quiescentAt(n *nodeRT) (bool, error) {
 		// sets they depend on only grow.
 		pending := n.pendingProbe
 		for i, f := range pending {
-			ok, err := s.probe(n, n.rcvFor(f))
+			ok, err := s.probe(n, n.rcvFor(f, f.KeyIn(n.dict)))
 			if err != nil {
 				return false, err
 			}
@@ -911,8 +924,8 @@ func (s *Sim) quiescentAt(n *nodeRT) (bool, error) {
 	if ok, err := s.probe(n, nil); err != nil || !ok {
 		return false, err
 	}
-	for _, f := range n.known {
-		if ok, err := s.probe(n, n.rcvFor(f)); err != nil || !ok {
+	for key, e := range n.known {
+		if ok, err := s.probe(n, n.rcvFor(e.f, key)); err != nil || !ok {
 			return false, err
 		}
 	}
@@ -1005,7 +1018,7 @@ func (s *Sim) Clone() *Sim {
 			idx:      n.idx,
 			state:    s.cloneSharingAll(n.state),
 			buf:      append([]fact.Fact(nil), n.buf...),
-			known:    make(map[string]fact.Fact, len(n.known)),
+			known:    make(map[string]*knownFact, len(n.known)),
 			rcvCache: map[string]*fact.Instance{},
 			clean:    n.clean,
 			dirty:    n.dirty,
@@ -1013,8 +1026,8 @@ func (s *Sim) Clone() *Sim {
 		if cn.dirty {
 			c.dirtyCount++
 		}
-		for key, f := range n.known {
-			cn.known[key] = f
+		for key, e := range n.known {
+			cn.known[key] = &knownFact{f: e.f, queued: e.queued}
 		}
 		cn.pendingProbe = append([]fact.Fact(nil), n.pendingProbe...)
 		c.nodes[n.v] = cn

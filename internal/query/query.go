@@ -133,6 +133,10 @@ type Func struct {
 	// domain of the whole instance, beyond the relations in Reads; it
 	// disables result caching across unrelated state growth.
 	AdomSensitive bool
+
+	// delta is the semi-naive delta function set by NewDeltaFunc; nil
+	// for every NewFunc, whose body is opaque.
+	delta func(full, delta *fact.Instance) (*fact.Relation, error)
 }
 
 // NewFunc builds a Func query. reads lists the relations f consults;
@@ -144,6 +148,17 @@ type Func struct {
 func NewFunc(name string, arity int, reads []string, monotone bool, f func(*fact.Instance) (*fact.Relation, error)) Func {
 	rs := dedupSorted(reads)
 	return Func{K: arity, Reads: rs, Monotone: monotone, Name: name, F: f}
+}
+
+// NewDeltaFunc is NewFunc with a delta function that makes the query
+// DeltaEvaluable: delta(full, Δ) must satisfy the EvalDelta contract
+// for f. A nil delta builds a plain NewFunc.
+func NewDeltaFunc(name string, arity int, reads []string, monotone bool,
+	f func(*fact.Instance) (*fact.Relation, error),
+	delta func(full, delta *fact.Instance) (*fact.Relation, error)) Func {
+	q := NewFunc(name, arity, reads, monotone, f)
+	q.delta = delta
+	return q
 }
 
 // Arity implements Query.
@@ -170,27 +185,41 @@ func (q Func) SyntacticallyMonotone() bool { return q.Monotone }
 // RelBounded implements RelBounded per the NewFunc contract.
 func (q Func) RelBounded() bool { return !q.AdomSensitive }
 
+// CanDelta implements DeltaEvaluable: only a NewDeltaFunc carries a
+// delta function.
+func (q Func) CanDelta() bool { return q.delta != nil }
+
+// EvalDelta implements DeltaEvaluable.
+func (q Func) EvalDelta(full, delta *fact.Instance) (*fact.Relation, error) {
+	if q.delta == nil {
+		return nil, fmt.Errorf("query %s: no delta evaluation", q.Name)
+	}
+	return q.delta(full, delta)
+}
+
 // Copy is the query that returns relation rel verbatim (the identity
 // query on one relation); it is monotone.
 func Copy(rel string, arity int) Func {
-	return NewFunc("copy:"+rel, arity, []string{rel}, true,
-		func(I *fact.Instance) (*fact.Relation, error) {
-			return I.RelationOr(rel, arity).Clone(), nil
-		})
+	q := UnionOf(arity, rel)
+	q.Name = "copy:" + rel
+	return q
 }
 
 // UnionOf returns the query computing the union of same-arity
-// relations; it is monotone.
+// relations; it is monotone. It is linear — every output fact comes
+// from exactly one input fact — so its delta is exact: the union of
+// the delta's relations.
 func UnionOf(arity int, rels ...string) Func {
 	names := append([]string(nil), rels...)
-	return NewFunc(fmt.Sprintf("union:%v", names), arity, names, true,
-		func(I *fact.Instance) (*fact.Relation, error) {
-			out := I.Dict().NewRelation(arity)
-			for _, r := range names {
-				out.UnionWith(I.RelationOr(r, arity))
-			}
-			return out, nil
-		})
+	union := func(I *fact.Instance) (*fact.Relation, error) {
+		out := I.Dict().NewRelation(arity)
+		for _, r := range names {
+			out.UnionWith(I.RelationOr(r, arity))
+		}
+		return out, nil
+	}
+	return NewDeltaFunc(fmt.Sprintf("union:%v", names), arity, names, true, union,
+		func(_, delta *fact.Instance) (*fact.Relation, error) { return union(delta) })
 }
 
 func dedupSorted(xs []string) []string {

@@ -22,12 +22,17 @@ import (
 //     the received values already occur in the state's active domain
 //     (a query result is a function of the relations it reads and
 //     adom(I), so nothing it depends on has changed). Delta-evaluable
-//     queries (query.DeltaEvaluable — positive FO branches) are
-//     answered as cache ∪ EvalDelta(state ∪ Δrcv, Δrcv).
+//     queries (query.DeltaEvaluable: positive FO branches, the linear
+//     query.UnionOf and query.Copy, and the flood substrate's
+//     collected-fragment queries in package dist) are answered as
+//     cache ∪ EvalDelta(state ∪ Δrcv, Δrcv).
 //   - State deltas. When a transition only adds memory facts (the
 //     paper's inflationary case), cached results advance by semi-naive
 //     delta firing over the added facts, or survive untouched when
-//     the additions miss the query's reads and active domain.
+//     the additions miss the query's reads and active domain. A delta
+//     the cached result already holds leaves it as is, pointer
+//     included, so the memos keyed on result pointers keep hitting; a
+//     delta that holds the whole cached result replaces it.
 //   - Lazy probes. The quiescence check never needs the successor
 //     instance, only whether it differs; ProbeParts decides that with
 //     subset checks, memoized on result pointers.
@@ -303,16 +308,27 @@ func (f *Firing) evalOne(c *evalCtx, i int) (*fact.Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		if d.SubsetOf(base) {
-			// Nothing new (e.g. a re-delivered known fact): keep the
-			// pointer-stable cached result.
-			return base, nil
-		}
-		out := base.Clone()
-		out.UnionWith(d)
-		return out, nil
+		return grow(base, d), nil
 	}
 	return fq.q.Eval(c.prime())
+}
+
+// grow returns base ∪ d without mutating either: base itself when d
+// adds nothing (e.g. a re-delivered known fact), keeping the
+// pointer-stable cached result and the memos keyed on it; d itself when
+// it already holds base (a monotone query re-evaluated in full);
+// otherwise a grown clone, as base may be aliased by a previously
+// returned Effect.
+func grow(base, d *fact.Relation) *fact.Relation {
+	switch {
+	case d.SubsetOf(base):
+		return base
+	case d.Len() > base.Len() && base.SubsetOf(d):
+		return d
+	}
+	out := base.Clone()
+	out.UnionWith(d)
+	return out
 }
 
 // evalAll evaluates every transducer query on (state, rcv).
@@ -596,13 +612,7 @@ func (f *Firing) Step(state, rcv *fact.Instance) (Effect, bool, error) {
 			if err != nil {
 				return Effect{}, false, fmt.Errorf("transducer %s: advance %s: %w", f.T.Name, fq.key, err)
 			}
-			if !d.Empty() {
-				// Clone before growing: the cached relation may be
-				// aliased by a previously returned Effect.
-				nc := f.cache[i].Clone()
-				nc.UnionWith(d)
-				f.cache[i] = nc
-			}
+			f.cache[i] = grow(f.cache[i], d)
 		default:
 			f.cache[i] = nil
 		}
